@@ -251,6 +251,7 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 
 	if *manifestPath != "" {
 		m := obs.BuildManifest(col, "dtnload", args, startedAt)
+		m.Seed = o.seed
 		if o.plan != nil {
 			// The full schedule rides in the manifest's config block, so
 			// a violated run reproduces from the manifest alone.

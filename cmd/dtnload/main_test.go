@@ -47,6 +47,31 @@ func TestSimEpochSLOVerdicts(t *testing.T) {
 	}
 }
 
+// TestManifestRecordsSeed: the manifest names the base seed the run
+// used, so a reported number traces back to it.
+func TestManifestRecordsSeed(t *testing.T) {
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	err := run([]string{
+		"-mode", "sim", "-nodes", "20", "-group", "4",
+		"-rate", "1", "-horizon", "120", "-drain", "600",
+		"-seed", "7", "-manifest", manifestPath,
+	}, io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ValidateManifestBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Seed != 7 {
+		t.Fatalf("manifest seed = %d, want 7", m.Seed)
+	}
+}
+
 func TestFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-mode", "warp"}, &buf, nil); err == nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -145,51 +146,70 @@ func TestRuntimeMode(t *testing.T) {
 	}
 }
 
-// TestOnionCheckpointResume pins dtnsim's crash-safety wiring: a run
-// with -checkpoint reruns byte-identically with -resume (trials served
-// from the checkpoint), -resume without -checkpoint is refused, the
-// flag is rejected for protocols without a trial pool, and a foreign
-// checkpoint (different parameters) is rejected loudly.
-func TestOnionCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
+// TestOnionCacheResume pins dtnsim's crash-safety wiring: a -cache run
+// reruns byte-identically from a warm cache, the warm rerun's manifest
+// records what it resumed (entry key and trial count), and a
+// different -seed opens its own entry instead of reusing this one.
+func TestOnionCacheResume(t *testing.T) {
+	cache := t.TempDir()
 	args := []string{
 		"-n", "40", "-g", "4", "-k", "2", "-l", "2", "-runs", "30",
-		"-deadline", "300", "-checkpoint", dir,
+		"-deadline", "300", "-cache", cache,
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "dtnsim-onion.ckpt")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
+	entries := cacheEntryNames(t, cache)
+	if len(entries) != 1 {
+		t.Fatalf("cache holds %d entries after one run; want 1", len(entries))
 	}
-	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	var warm bytes.Buffer
+	if err := run(append(args, "-manifest", manifest), &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), resumed.Bytes()) {
-		t.Fatalf("resumed report differs:\n%s\nvs\n%s", resumed.String(), first.String())
+	if !bytes.Equal(first.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm rerun report differs:\n%s\nvs\n%s", warm.String(), first.String())
+	}
+	want := fmt.Sprintf("30 trials from cache entry %s", entries[0])
+	if ev := resumedEvents(t, manifest); len(ev) != 1 || !strings.Contains(ev[0].Detail, want) {
+		t.Fatalf("resumed events = %+v; want one naming %q", ev, want)
 	}
 
-	if err := run([]string{"-resume"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("-resume without -checkpoint: err = %v, want flag error", err)
+	if err := run(append(args, "-seed", "9"), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-protocol", "epidemic", "-checkpoint", dir}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "onion") {
-		t.Fatalf("-checkpoint with epidemic: err = %v, want rejection", err)
+	if n := len(cacheEntryNames(t, cache)); n != 2 {
+		t.Fatalf("cache holds %d entries after a second seed; want 2", n)
 	}
-	foreign := append(append([]string(nil), args...), "-resume", "-seed", "9")
-	if err := run(foreign, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("foreign checkpoint: err = %v, want key mismatch", err)
+}
+
+// resumedEvents returns the EventResumed entries of a manifest.
+func resumedEvents(t *testing.T, path string) []obs.RunEvent {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	m, err := obs.ValidateManifestBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []obs.RunEvent
+	for _, ev := range m.Events {
+		if ev.Kind == obs.EventResumed {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestOnionDigestSensitivity pins the content key's inputs: every
 // outcome-affecting parameter — including the seed and the loaded
-// graph's content hash — must change the digest, while bookkeeping
-// fields (cache/checkpoint paths, fleet id, and notably the graph's
-// *path*, whose content hash already covers it) must not.
+// graph's content hash — must change the key, while bookkeeping
+// fields (cache path, fleet id, and notably the graph's *path*, whose
+// content hash already covers it) must not.
 func TestOnionDigestSensitivity(t *testing.T) {
 	base := onionConfig{
 		n: 40, g: 4, k: 2, l: 2, spray: true, deadline: 300,
@@ -211,33 +231,33 @@ func TestOnionDigestSensitivity(t *testing.T) {
 	for name, mutate := range affecting {
 		c := base
 		mutate(&c)
-		if c.digest() == base.digest() {
-			t.Errorf("mutating %s did not change the digest", name)
+		if c.contentKey() == base.contentKey() {
+			t.Errorf("mutating %s did not change the content key", name)
 		}
 	}
 	c := base
 	c.graphPath, c.saveGraph = "elsewhere.graph", "out.graph"
-	c.ckptDir, c.cacheDir, c.fleetID = "ck", "cache", "host-1"
-	c.resume = true
-	if c.digest() != base.digest() {
-		t.Error("bookkeeping fields changed the digest")
+	c.cacheDir, c.fleetID = "cache", "host-1"
+	if c.contentKey() != base.contentKey() {
+		t.Error("bookkeeping fields changed the content key")
 	}
 }
 
-// cacheEntries counts content-key directories under a cache root.
-func cacheEntries(t *testing.T, dir string) int {
+// cacheEntryNames lists the content-key directories under a cache
+// root.
+func cacheEntryNames(t *testing.T, dir string) []string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	var names []string
 	for _, de := range des {
 		if de.IsDir() {
-			n++
+			names = append(names, de.Name())
 		}
 	}
-	return n
+	return names
 }
 
 // TestCacheDistinctSeedsDistinctEntries pins the fix for the seed/key
@@ -256,7 +276,7 @@ func TestCacheDistinctSeedsDistinctEntries(t *testing.T) {
 			t.Fatalf("seed %s: %v", seed, err)
 		}
 	}
-	if n := cacheEntries(t, cache); n != 2 {
+	if n := len(cacheEntryNames(t, cache)); n != 2 {
 		t.Fatalf("cache holds %d entries for 2 seeds; want 2", n)
 	}
 }
@@ -285,7 +305,7 @@ func TestCacheGraphContentInvalidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := cacheEntries(t, cache); n != 2 {
+	if n := len(cacheEntryNames(t, cache)); n != 2 {
 		t.Fatalf("cache holds %d entries for 2 graph contents at one path; want 2", n)
 	}
 }

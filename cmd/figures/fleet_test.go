@@ -142,12 +142,61 @@ func TestFleetStaleLeaseStolen(t *testing.T) {
 	}
 }
 
+// TestCacheResumeRecordedInManifest pins the audit record of a warm
+// rerun: its manifest carries one resumed event naming the figure,
+// the trial count served from the cache and the entry key.
+func TestCacheResumeRecordedInManifest(t *testing.T) {
+	const securityRuns = 300
+	cacheDir := t.TempDir()
+	args := []string{
+		"-fig", "fig06", "-no-plot", "-cache", cacheDir,
+		"-security-runs", fmt.Sprint(securityRuns), "-seed", "1",
+	}
+	if err := run(args, os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	if err := run(append(args, "-manifest", manifest), os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := fig06Spec(t)
+	key, err := scenario.ContentKey(&spec, fleetOpt(1, securityRuns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := resultcache.Open(cacheDir, key, spec.ID, 1, "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := store.Loaded()
+	store.Close()
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ValidateManifestBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed []obs.RunEvent
+	for _, ev := range m.Events {
+		if ev.Kind == obs.EventResumed {
+			resumed = append(resumed, ev)
+		}
+	}
+	want := fmt.Sprintf("fig06: %d trials from cache entry %s", trials, key)
+	if trials == 0 || len(resumed) != 1 || resumed[0].Detail != want {
+		t.Fatalf("resumed events = %+v; want one with detail %q", resumed, want)
+	}
+}
+
 // TestFleetKillResumeByteIdentical is the cache flavor of the
 // crash-safety acceptance test: SIGKILL a -cache run mid-flight —
 // leaving torn shard tails and orphaned leases — then rerun with the
 // same -cache and a short lease TTL. The rerun must steal the
 // orphans, finish the remaining trials, and produce artifacts
-// byte-identical to an uninterrupted cacheless run. No -resume flag:
+// byte-identical to an uninterrupted cacheless run. No resume flag:
 // the cache resumes implicitly.
 func TestFleetKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -158,56 +207,74 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base := []string{
-				"-fig", "fig06", "-no-plot", "-json",
-				"-runs", "40", "-security-runs", "4000", "-trace-runs", "5",
-				"-seed", fmt.Sprint(seed), "-workers", "4",
-			}
-			goldenDir := t.TempDir()
-			if err := run(append([]string{"-out", goldenDir}, base...), os.Stdout); err != nil {
-				t.Fatal(err)
-			}
-			goldenCSV, goldenJSON := readArtifacts(t, goldenDir)
-
-			outDir, cacheDir := t.TempDir(), t.TempDir()
-			args := append([]string{
-				"-out", outDir, "-cache", cacheDir, "-lease-ttl", "300ms",
-			}, base...)
-			rnd := rand.New(rand.NewSource(int64(seed)*37 + 5))
-			delay := 150*time.Millisecond + time.Duration(rnd.Int63n(int64(600*time.Millisecond)))
-			victim, _ := figuresCmd(t, args)
-			if err := victim.Start(); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(delay)
-			_ = victim.Process.Kill() // SIGKILL: no lease release, no shard close
-			if err := victim.Wait(); err != nil {
-				atomic.AddInt64(&midRunKills, 1)
-			} else {
-				t.Logf("run finished in under %v; rerun will replay a complete cache", delay)
-			}
-			if left := tmpDroppings(t, outDir); len(left) != 0 {
-				t.Fatalf("SIGKILL left temp artifacts: %v", left)
-			}
-
-			rerun, stderr := figuresCmd(t, args)
-			if err := rerun.Run(); err != nil {
-				t.Fatalf("cache rerun failed: %v\n%s", err, stderr.String())
-			}
-			gotCSV, gotJSON := readArtifacts(t, outDir)
-			if !bytes.Equal(gotCSV, goldenCSV) {
-				t.Errorf("cache-resumed CSV differs from uninterrupted golden (%d vs %d bytes)", len(gotCSV), len(goldenCSV))
-			}
-			if !bytes.Equal(gotJSON, goldenJSON) {
-				t.Errorf("cache-resumed JSON differs from uninterrupted golden (%d vs %d bytes)", len(gotJSON), len(goldenJSON))
-			}
+			killAndRerun(t, seed, 4, 4, int64(seed)*37+5, &midRunKills)
 		})
 	}
+	requireMidRunKill(t, &midRunKills)
+}
+
+// requireMidRunKill fails t, once its subtests are done, if no victim
+// was killed before it finished: the kill window must overlap the run.
+func requireMidRunKill(t *testing.T, midRunKills *int64) {
 	t.Cleanup(func() {
-		if !t.Failed() && atomic.LoadInt64(&midRunKills) == 0 {
+		if !t.Failed() && atomic.LoadInt64(midRunKills) == 0 {
 			t.Error("no subprocess was killed mid-run; the kill window no longer overlaps the run — retune the delays")
 		}
 	})
+}
+
+// killAndRerun runs fig06 at seed with -cache and -workers workers,
+// SIGKILLs it after a delay drawn from killSeed, reruns it on the same
+// cache at rerunWorkers, and requires artifacts byte-identical to an
+// uninterrupted cacheless run.
+func killAndRerun(t *testing.T, seed uint64, workers, rerunWorkers int, killSeed int64, midRunKills *int64) {
+	base := []string{
+		"-fig", "fig06", "-no-plot", "-json",
+		"-runs", "40", "-security-runs", "4000", "-trace-runs", "5",
+		"-seed", fmt.Sprint(seed),
+	}
+	goldenDir := t.TempDir()
+	if err := run(append([]string{"-out", goldenDir}, base...), os.Stdout); err != nil {
+		t.Fatal(err)
+	}
+	goldenCSV, goldenJSON := readArtifacts(t, goldenDir)
+
+	outDir, cacheDir := t.TempDir(), t.TempDir()
+	args := append([]string{
+		"-out", outDir, "-cache", cacheDir, "-lease-ttl", "300ms",
+	}, base...)
+	// Seeded random kill point somewhere inside the run.
+	rnd := rand.New(rand.NewSource(killSeed))
+	delay := 150*time.Millisecond + time.Duration(rnd.Int63n(int64(600*time.Millisecond)))
+	victim, _ := figuresCmd(t, append(args, "-workers", fmt.Sprint(workers)))
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(delay)
+	_ = victim.Process.Kill() // SIGKILL: no lease release, no shard close
+	if err := victim.Wait(); err != nil {
+		atomic.AddInt64(midRunKills, 1)
+	} else {
+		t.Logf("run finished in under %v; rerun will replay a complete cache", delay)
+	}
+	if left := tmpDroppings(t, outDir); len(left) != 0 {
+		t.Fatalf("SIGKILL left temp artifacts: %v", left)
+	}
+
+	rerun, stderr := figuresCmd(t, append(args, "-workers", fmt.Sprint(rerunWorkers)))
+	if err := rerun.Run(); err != nil {
+		t.Fatalf("cache rerun failed: %v\n%s", err, stderr.String())
+	}
+	gotCSV, gotJSON := readArtifacts(t, outDir)
+	if !bytes.Equal(gotCSV, goldenCSV) {
+		t.Errorf("cache-resumed CSV differs from uninterrupted golden (%d vs %d bytes)", len(gotCSV), len(goldenCSV))
+	}
+	if !bytes.Equal(gotJSON, goldenJSON) {
+		t.Errorf("cache-resumed JSON differs from uninterrupted golden (%d vs %d bytes)", len(gotJSON), len(goldenJSON))
+	}
+	if left := tmpDroppings(t, outDir); len(left) != 0 {
+		t.Fatalf("rerun left temp artifacts: %v", left)
+	}
 }
 
 // TestFleetTwoProcessByteIdentical runs two concurrent CLI processes

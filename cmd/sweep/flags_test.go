@@ -22,15 +22,18 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
+		// -checkpoint and -resume were removed in favour of -cache. An
+		// old invocation must still fail before any trial runs, never
+		// silently run without persistence.
 		{
 			name:    "resume without checkpoint",
 			args:    []string{"-resume"},
-			wantErr: "-resume requires -checkpoint",
+			wantErr: "flag provided but not defined: -resume",
 		},
 		{
 			name:    "checkpoint at a regular file",
 			args:    []string{"-checkpoint", file},
-			wantErr: "not a directory",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "cache at a regular file",
@@ -40,7 +43,7 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		{
 			name:    "checkpoint and cache together",
 			args:    []string{"-checkpoint", t.TempDir(), "-cache", t.TempDir()},
-			wantErr: "mutually exclusive",
+			wantErr: "flag provided but not defined: -checkpoint",
 		},
 		{
 			name:    "non-positive lease ttl",

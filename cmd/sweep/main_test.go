@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSweepGroupSize(t *testing.T) {
@@ -86,43 +89,76 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResume pins the crash-safety wiring: a sweep run
-// with -checkpoint can be rerun with -resume (all trials served from
-// the checkpoint) and prints a byte-identical table; -resume without
-// -checkpoint is refused; a foreign checkpoint (different seed) is
-// rejected loudly.
-func TestSweepCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
+// TestSweepCacheResume pins the crash-safety wiring: a sweep run with
+// -cache reruns from the warm cache (every trial served from it) and
+// prints a byte-identical table, the warm rerun's manifest records the
+// resumed entry and trial count, and a different -seed opens its own
+// entry.
+func TestSweepCacheResume(t *testing.T) {
+	cache := t.TempDir()
 	args := []string{
 		"-param", "g", "-values", "1,5", "-n", "30", "-runs", "10",
-		"-checkpoint", dir, "-seed", "1",
+		"-cache", cache, "-seed", "1",
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "sweep-g.ckpt")); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
+	entries := cacheEntryNames(t, cache)
+	if len(entries) != 1 {
+		t.Fatalf("cache holds %d entries after one sweep; want 1", len(entries))
 	}
-	var resumed bytes.Buffer
-	if err := run(append(args, "-resume"), &resumed); err != nil {
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	var warm bytes.Buffer
+	if err := run(append(args, "-manifest", manifest), &warm); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), resumed.Bytes()) {
-		t.Fatalf("resumed table differs:\n%s\nvs\n%s", resumed.String(), first.String())
+	if !bytes.Equal(first.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm rerun table differs:\n%s\nvs\n%s", warm.String(), first.String())
 	}
-
-	if err := run([]string{"-param", "g", "-values", "1", "-resume"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("-resume without -checkpoint: err = %v, want flag error", err)
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	foreign := append(append([]string(nil), args...), "-resume")
-	for i, a := range foreign {
-		if a == "-seed" {
-			foreign[i+1] = "2"
+	m, err := obs.ValidateManifestBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed []obs.RunEvent
+	for _, ev := range m.Events {
+		if ev.Kind == obs.EventResumed {
+			resumed = append(resumed, ev)
 		}
 	}
-	if err := run(foreign, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("foreign checkpoint: err = %v, want key mismatch", err)
+	// Two sweep points, each a batch of 10 trials.
+	want := fmt.Sprintf("sweep-g: 20 trials from cache entry %s", entries[0])
+	if len(resumed) != 1 || resumed[0].Detail != want {
+		t.Fatalf("resumed events = %+v; want one with detail %q", resumed, want)
 	}
+
+	other := append([]string(nil), args...)
+	other[len(other)-1] = "2"
+	if err := run(other, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cacheEntryNames(t, cache)); n != 2 {
+		t.Fatalf("cache holds %d entries after a second seed; want 2", n)
+	}
+}
+
+// cacheEntryNames lists the content-key directories under a cache
+// root.
+func cacheEntryNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		if de.IsDir() {
+			names = append(names, de.Name())
+		}
+	}
+	return names
 }

@@ -57,7 +57,7 @@ func ablationPredecessor(e *scenario.Engine, sc *scenario.Scenario) ([]stats.Ser
 		maxMsgs := int(messageCounts[len(messageCounts)-1])
 		// Each trial is one independent adversary observing one source's
 		// message stream; trials run concurrently and report whether the
-		// guess was correct at each message-count checkpoint.
+		// guess was correct at each message count in messageCounts.
 		perTrial, err := scenario.Trials(e, fmt.Sprintf("%s/pred/c%d", sc.ID, ci), trials, func(trial int) ([]bool, error) {
 			adv, err := adversary.RandomFraction(cfg.Nodes, frac, nw.Rand("predadv", trial))
 			if err != nil {

@@ -43,15 +43,16 @@ type Manifest struct {
 	Phases            []PhaseTiming       `json:"phases,omitempty"`
 	WorkerUtilization float64             `json:"workerUtilization,omitempty"`
 
-	// Events record run-supervision incidents — resumed checkpoints,
-	// drain requests, quarantined trials — in occurrence order. Optional:
+	// Events record run-supervision incidents — trials resumed from
+	// the result cache, drain requests, quarantined trials — in occurrence order. Optional:
 	// absent on clean unsupervised runs, so no version bump.
 	Events []RunEvent `json:"events,omitempty"`
 }
 
 // Run-supervision event kinds.
 const (
-	// EventResumed: the run loaded completed trials from a checkpoint.
+	// EventResumed: the run loaded completed trials from a result-cache
+	// entry.
 	EventResumed = "resumed"
 	// EventInterrupted: a drain (SIGINT/SIGTERM) stopped the run before
 	// every trial completed.
@@ -64,8 +65,9 @@ const (
 // RunEvent is one supervision incident.
 type RunEvent struct {
 	Kind string `json:"kind"`
-	// Detail identifies the subject: the checkpoint file for resumed,
-	// the batch and trial index for quarantines.
+	// Detail identifies the subject: the cache entry key and loaded
+	// trial count for resumed, the batch and trial index for
+	// quarantines.
 	Detail string `json:"detail,omitempty"`
 	// Batch/Trial pinpoint a quarantined trial.
 	Batch string `json:"batch,omitempty"`

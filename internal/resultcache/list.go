@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/checkpoint"
 )
 
 // EntryInfo summarizes one cache entry for tooling: its identity from
@@ -73,12 +71,12 @@ func describe(entry, key string) (EntryInfo, error) {
 		if err != nil {
 			return EntryInfo{}, fmt.Errorf("resultcache: read %s: %w", p, err)
 		}
-		_, off, err := checkpoint.DecodeHeader(data)
+		_, off, err := decodeHeader(data)
 		if err != nil {
 			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, err)
 		}
-		records, _, derr := checkpoint.DecodeRecordsFrom(data, off)
-		if derr != nil && !errors.Is(derr, checkpoint.ErrTruncated) {
+		records, _, derr := decodeRecordsFrom(data, off)
+		if derr != nil && !errors.Is(derr, errTruncated) {
 			return EntryInfo{}, fmt.Errorf("resultcache: %s: %w", p, derr)
 		}
 		for _, r := range records {

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -9,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/checkpoint"
 )
 
 func testKey(t *testing.T, salt string) string {
@@ -57,8 +56,8 @@ func TestRoundtripAndReopen(t *testing.T) {
 	if s2.Loaded() != 2 {
 		t.Fatalf("Loaded = %d after reopen; want 2", s2.Loaded())
 	}
-	if got, ok := s2.Lookup("fig-1/delivery/s0", 0); !ok || string(got) != "r0" {
-		t.Fatalf("Lookup after reopen = %q, %v; want r0, true", got, ok)
+	if got, ok := s2.Peek("fig-1/delivery/s0", 0); !ok || string(got) != "r0" {
+		t.Fatalf("Peek after reopen = %q, %v; want r0, true", got, ok)
 	}
 }
 
@@ -122,7 +121,7 @@ func TestRefreshToleratesTornForeignTail(t *testing.T) {
 
 	// Simulate worker-b dying mid-append: tear its last frame.
 	shard := filepath.Join(dir, key, "shard-worker-b.log")
-	rec, err := checkpoint.EncodeRecord(checkpoint.Record{Batch: "batch", Trial: 1, Data: []byte("torn")})
+	rec, err := encodeRecord(Record{Batch: "batch", Trial: 1, Data: []byte("torn")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +253,66 @@ func TestReopenRepairsOwnTornTail(t *testing.T) {
 	}
 }
 
+// TestReopenRejectsOwnHeaderTear: a shard torn inside its own header
+// has no key to validate, so reopening it is refused and the file is
+// left exactly as found — never "repaired" down to nothing.
+func TestReopenRejectsOwnHeaderTear(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "header-tear")
+	s, err := Open(dir, key, "fig-1", 1, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	shard := filepath.Join(dir, key, "shard-w.log")
+	if err := os.Truncate(shard, 14); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, key, "fig-1", 1, "w"); !errors.Is(err, errTruncated) {
+		t.Fatalf("reopen over a torn header: err = %v, want errTruncated", err)
+	}
+	if st, err := os.Stat(shard); err != nil || st.Size() != 14 {
+		t.Fatalf("rejected shard was modified (stat %v, err %v)", st, err)
+	}
+}
+
+func TestSaveAfterCloseFails(t *testing.T) {
+	s, err := Open(t.TempDir(), testKey(t, "closed"), "fig-1", 1, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := s.Save("b", 0, []byte{1}); err == nil {
+		t.Fatal("Save after Close should fail")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestLastRecordWinsOnDuplicate: racing workers may both append the
+// same (batch, trial); the records are bit-identical by the
+// determinism contract, and the index keeps the later one.
+func TestLastRecordWinsOnDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(t, "dup")
+	s, err := Open(dir, key, "fig-1", 1, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Save("b", 0, []byte{1})
+	s.Save("b", 0, []byte{2})
+	s.Close()
+	re, err := Open(dir, key, "fig-1", 1, "reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if data, ok := re.Peek("b", 0); !ok || !bytes.Equal(data, []byte{2}) {
+		t.Fatalf("Peek = %v, %v; want the later record", data, ok)
+	}
+}
+
 func TestForeignShardKeyRejected(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(t, "entry")
@@ -264,7 +323,7 @@ func TestForeignShardKeyRejected(t *testing.T) {
 	defer s.Close()
 
 	// Plant a shard written under a different seed in the same entry.
-	hdr, err := checkpoint.HeaderBytes(checkpoint.Key{GitRevision: ContentRevision, SpecHash: key, Seed: 999})
+	hdr, err := headerBytes(Key{GitRevision: ContentRevision, SpecHash: key, Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +331,8 @@ func TestForeignShardKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.Refresh()
-	if !errors.Is(err, checkpoint.ErrKeyMismatch) {
-		t.Fatalf("Refresh over a foreign shard: err = %v; want ErrKeyMismatch", err)
+	if !errors.Is(err, errKeyMismatch) {
+		t.Fatalf("Refresh over a foreign shard: err = %v; want errKeyMismatch", err)
 	}
 }
 

@@ -73,7 +73,7 @@ var ErrInterrupted = errors.New("interrupted before all trials completed")
 // ResultStore persists completed per-trial results across process
 // lifetimes. Lookup returns the stored encoding of a completed trial;
 // Save records one. Implementations must be safe for concurrent use —
-// internal/checkpoint provides the durable one.
+// internal/dispatch adapts a result-cache entry to it.
 type ResultStore interface {
 	Lookup(batch string, trial int) (data []byte, ok bool)
 	Save(batch string, trial int, data []byte) error
@@ -203,7 +203,7 @@ func Supervised[T any](sup *Supervisor, store ResultStore, batch string, workers
 				if data, ok := store.Lookup(batch, i); ok {
 					v, err := DecodeResult[T](data)
 					if err != nil {
-						errs[i] = fmt.Errorf("decode checkpointed result: %w", err)
+						errs[i] = fmt.Errorf("decode stored result: %w", err)
 						failed.Store(true)
 						return
 					}
@@ -230,7 +230,7 @@ func Supervised[T any](sup *Supervisor, store ResultStore, batch string, workers
 					serr = store.Save(batch, i, data)
 				}
 				if serr != nil {
-					errs[i] = fmt.Errorf("checkpoint result: %w", serr)
+					errs[i] = fmt.Errorf("store result: %w", serr)
 					failed.Store(true)
 					return
 				}

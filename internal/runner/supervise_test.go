@@ -244,7 +244,7 @@ func TestSupervisedStoreRoundTripsStructs(t *testing.T) {
 	// Second run must hit the store for every trial.
 	second, err := Supervised(NewSupervisor(0), store, "structs", 2, 6,
 		func(i int) (trialResult, error) {
-			t.Errorf("trial %d executed despite checkpoint hit", i)
+			t.Errorf("trial %d executed despite a store hit", i)
 			return trialResult{}, nil
 		})
 	if err != nil {
