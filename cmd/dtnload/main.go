@@ -143,7 +143,7 @@ var testBeforeExit func(scrapeURL string)
 
 // run is the testable entry point. ready, when non-nil, is called once
 // the metrics endpoint is serving (with "" when -metrics is off).
-func run(args []string, out io.Writer, ready func(metricsURL string)) error {
+func run(args []string, out io.Writer, ready func(metricsURL string)) (err error) {
 	fs := flag.NewFlagSet("dtnload", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var o options
@@ -185,6 +185,7 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 		benchPath     = fs.String("bench", "", "benchmark mode: write a BENCH_load.json result matrix here and exit")
 		benchRates    = fs.String("bench-rates", "0.5,1,2", "comma-separated target rates for -bench")
 		gate          = fs.Float64("gate", 0, "bench gate: churn delivery ratio must stay >= gate x the same-rate fault-free ratio (0 = off)")
+		prof          = obs.AddProfileFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -201,6 +202,15 @@ func run(args []string, out io.Writer, ready func(metricsURL string)) error {
 	if *chaosPlanPath != "" && !o.chaosOn {
 		return fmt.Errorf("-chaos-plan requires -chaos")
 	}
+
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if stopErr := prof.Stop(); err == nil {
+			err = stopErr
+		}
+	}()
 
 	// Service mode always collects: live metrics are the point. The
 	// batch commands keep their obs-off default; this one is obs-on.

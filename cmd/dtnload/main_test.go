@@ -72,6 +72,30 @@ func TestManifestRecordsSeed(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: dtnload takes the shared profiling flags, and
+// -cpuprofile and -memprofile leave non-empty profiles behind.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	err := run([]string{
+		"-mode", "sim", "-nodes", "20", "-group", "4",
+		"-rate", "1", "-horizon", "60", "-drain", "120",
+		"-cpuprofile", cpu, "-memprofile", mem,
+	}, io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+}
+
 func TestFlagValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-mode", "warp"}, &buf, nil); err == nil {

@@ -198,15 +198,30 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 }
 
 // exchangeAcksLocked merges both parties' acknowledgement sets and
-// purges any buffered copy of an already-delivered message. Both locks
-// are held.
+// purges any buffered copy of an already-delivered message. Each side
+// learns only the tail of the peer's ack log past its mark for that
+// peer: everything before the mark was learned at an earlier contact
+// and acks are never forgotten, so the result is the full set union at
+// O(new acks) cost. Both locks are held.
 func exchangeAcksLocked(a, b *Node) {
-	for id := range a.acks {
-		b.learnAckLocked(id)
+	b.mergeAcksLocked(a)
+	a.mergeAcksLocked(b)
+}
+
+// mergeAcksLocked learns every ack peer logged since n last merged from
+// it and advances n's mark for peer. Both locks are held.
+func (n *Node) mergeAcksLocked(peer *Node) {
+	mark := n.ackMark[peer.id]
+	if mark == len(peer.ackLog) {
+		return
 	}
-	for id := range b.acks {
-		a.learnAckLocked(id)
+	for _, id := range peer.ackLog[mark:] {
+		n.learnAckLocked(id)
 	}
+	if n.ackMark == nil {
+		n.ackMark = make(map[contact.NodeID]int)
+	}
+	n.ackMark[peer.id] = len(peer.ackLog)
 }
 
 // exchangeLocked hands over every eligible onion from sender to

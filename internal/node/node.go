@@ -68,11 +68,6 @@ type carried struct {
 	// PR 2 fault schedules — which draw on frame length — are
 	// untouched.
 	hops int
-	// seq orders this node's custody FIFO. Message IDs are drawn from
-	// crypto/rand, so any ID-based ordering would differ run to run;
-	// custody order is reproducible for a fixed workload seed, and
-	// exchange iterates in it so buffer-refusal outcomes are too.
-	seq uint64
 	// refusals counts how many custody offers of this copy were refused
 	// by a full peer; once it reaches the holder's re-offer budget the
 	// copy is dropped instead of re-offered forever.
@@ -91,28 +86,34 @@ type Node struct {
 	// behavior.
 	reofferLimit int
 
-	mu            sync.Mutex
-	buffer        map[string]*carried
+	mu     sync.Mutex
+	buffer map[string]*carried
+	// fifo lists custody in insertion order. Message IDs are drawn from
+	// crypto/rand, so any ID-based ordering would differ run to run;
+	// insertion order is reproducible for a fixed workload seed, and
+	// exchange iterates in it so buffer-refusal outcomes are too. Only
+	// holdLocked appends; releases leave stale entries that
+	// custodyFIFOLocked compacts away.
+	fifo          []*carried
 	delivered     map[string][]byte
 	deliveredHops map[string]int  // msg id -> custody transfers to reach us
 	seen          map[string]bool // message IDs ever carried or delivered
-	acks          map[string]bool // delivered-message IDs known to this node
-	nextSeq       uint64          // custody FIFO counter for carried.seq
-	stats         Stats
+	// acks holds the delivered-message IDs known to this node; ackLog
+	// lists the same IDs in the order they were learned. Both only
+	// grow, so ackMark[p] — how much of peer p's ackLog this node has
+	// already merged — stays valid forever and a contact merges only
+	// the acks the peer learned since the last one.
+	acks    map[string]bool
+	ackLog  []string
+	ackMark map[contact.NodeID]int
+	stats   Stats
 }
 
-// newNode builds a node bound to the shared group directory.
+// newNode builds a node bound to the shared group directory. Its maps
+// are made on first write, so provisioning a network costs one
+// allocation per node; reads and deletes work on nil maps.
 func newNode(id contact.NodeID, dir *groups.Directory, bufferLimit int) *Node {
-	return &Node{
-		id:            id,
-		dir:           dir,
-		bufferLimit:   bufferLimit,
-		buffer:        make(map[string]*carried),
-		delivered:     make(map[string][]byte),
-		deliveredHops: make(map[string]int),
-		seen:          make(map[string]bool),
-		acks:          make(map[string]bool),
-	}
+	return &Node{id: id, dir: dir, bufferLimit: bufferLimit}
 }
 
 // New builds a standalone node bound to a group directory — the entry
@@ -226,15 +227,13 @@ func (n *Node) Send(spec SendSpec, pathStream *rng.Stream) (string, error) {
 	if n.seen[msgID] {
 		return "", fmt.Errorf("node: message id %s already used", msgID)
 	}
-	n.buffer[msgID] = &carried{
+	n.holdLocked(&carried{
 		id:      msgID,
 		data:    data,
 		group:   ids[0],
 		tickets: spec.Copies,
 		expiry:  spec.Expiry,
-		seq:     n.claimSeqLocked(),
-	}
-	n.seen[msgID] = true
+	})
 	n.stats.Sent++
 	return msgID, nil
 }
@@ -247,11 +246,25 @@ func newMessageID() (string, error) {
 	return hex.EncodeToString(raw[:]), nil
 }
 
-// claimSeqLocked returns the next custody sequence number. The caller
+// holdLocked takes custody of c and marks its message seen. It is the
+// only way into n.buffer, so n.fifo sees every insertion in order. The
+// caller holds n.mu.
+func (n *Node) holdLocked(c *carried) {
+	if n.buffer == nil {
+		n.buffer = make(map[string]*carried)
+	}
+	n.buffer[c.id] = c
+	n.fifo = append(n.fifo, c)
+	n.sawLocked(c.id)
+}
+
+// sawLocked adds a message to the duplicate-suppression log. The caller
 // holds n.mu.
-func (n *Node) claimSeqLocked() uint64 {
-	n.nextSeq++
-	return n.nextSeq
+func (n *Node) sawLocked(id string) {
+	if n.seen == nil {
+		n.seen = make(map[string]bool)
+	}
+	n.seen[id] = true
 }
 
 // errTransfer classifies a rejected hand-off: the sender keeps custody.
@@ -322,21 +335,24 @@ func (n *Node) acceptLocked(c *carried) error {
 			n.stats.Rejected++
 			return fmt.Errorf("%w: %v", errTransfer, err)
 		}
+		if n.delivered == nil {
+			n.delivered = make(map[string][]byte)
+			n.deliveredHops = make(map[string]int)
+		}
 		n.delivered[c.id] = payload
 		n.deliveredHops[c.id] = c.hops
-		n.seen[c.id] = true
-		n.acks[c.id] = true // origin of the anti-packet
+		n.sawLocked(c.id)
+		n.learnAckLocked(c.id) // origin of the anti-packet
 		n.stats.Delivered++
 		return nil
 	}
 	if !n.dir.Contains(c.group, n.id) {
 		// Sprayed copy: carry the ciphertext unchanged until a group
 		// member is met.
-		n.buffer[c.id] = &carried{
+		n.holdLocked(&carried{
 			id: c.id, data: c.data, group: c.group, tickets: 1, expiry: c.expiry,
-			hops: c.hops, seq: n.claimSeqLocked(),
-		}
-		n.seen[c.id] = true
+			hops: c.hops,
+		})
 		n.stats.Carried++
 		return nil
 	}
@@ -352,7 +368,7 @@ func (n *Node) acceptLocked(c *carried) error {
 		n.stats.Rejected++
 		return fmt.Errorf("%w: %v", errTransfer, err)
 	}
-	next := &carried{id: c.id, tickets: 1, expiry: c.expiry, hops: c.hops, seq: n.claimSeqLocked()}
+	next := &carried{id: c.id, tickets: 1, expiry: c.expiry, hops: c.hops}
 	if peeled.Deliver {
 		next.lastHop = true
 		next.deliverTo = contact.NodeID(peeled.Dest)
@@ -361,19 +377,23 @@ func (n *Node) acceptLocked(c *carried) error {
 		next.group = peeled.NextGroup
 		next.data = peeled.Inner
 	}
-	n.buffer[c.id] = next
-	n.seen[c.id] = true
+	n.holdLocked(next)
 	n.stats.Carried++
 	return nil
 }
 
 // learnAckLocked records a delivery acknowledgement and purges any
-// buffered copy of that message. The caller holds n.mu.
+// buffered copy of that message. It is the only writer of acks and
+// ackLog, which keeps the two in step. The caller holds n.mu.
 func (n *Node) learnAckLocked(id string) {
 	if n.acks[id] {
 		return
 	}
+	if n.acks == nil {
+		n.acks = make(map[string]bool)
+	}
 	n.acks[id] = true
+	n.ackLog = append(n.ackLog, id)
 	if _, held := n.buffer[id]; held {
 		delete(n.buffer, id)
 		n.stats.Purged++
@@ -393,21 +413,23 @@ func (n *Node) KnowsDelivered(msgID string) bool {
 // stable storage; the delivered-payload log, the duplicate-suppression
 // log, and known acknowledgements are durable state — a restarted node
 // must still deliver each message to its application layer exactly
-// once. The caller holds n.mu.
+// once. acks, ackLog and the peers' ackMark entries must survive
+// together: a peer's mark promises that everything before it in this
+// node's log is known there. The caller holds n.mu.
 func (n *Node) crashLocked(preserveCustody bool) {
 	n.stats.Crashes++
 	if preserveCustody || len(n.buffer) == 0 {
 		return
 	}
 	n.stats.CrashDropped += len(n.buffer)
-	n.buffer = make(map[string]*carried)
+	n.buffer = nil
 }
 
 // expireLocked drops onions past their deadline. The caller holds n.mu.
 func (n *Node) expireLocked(now float64) {
-	for id, c := range n.buffer {
+	for _, c := range n.custodyFIFOLocked() {
 		if c.expiry > 0 && now > c.expiry {
-			delete(n.buffer, id)
+			delete(n.buffer, c.id)
 			n.stats.Expired++
 		}
 	}

@@ -34,17 +34,27 @@ type Offer struct {
 	Frame []byte
 }
 
-// custodyFIFOLocked snapshots the buffer in custody (FIFO) order. The
-// caller holds n.mu. Map iteration order and crypto-random message IDs
-// would both make transfer order — and with it buffer-refusal outcomes
-// — nondeterministic for a fixed seed.
+// custodyFIFOLocked returns the onions in custody in insertion (FIFO)
+// order. Map iteration order and crypto-random message IDs would both
+// make transfer order — and with it buffer-refusal outcomes —
+// nondeterministic for a fixed seed. It compacts n.fifo in place,
+// dropping copies released since the last call, and allocates nothing.
+// The returned slice aliases n.fifo: it is valid only while the caller
+// holds n.mu, and only until the next holdLocked on this node. Deleting
+// from n.buffer while ranging over it is safe; taking custody is not.
+// Every caller that ranges over it (expireLocked, OffersTo, and
+// exchangeLocked with this node as sender) only deletes here and
+// inserts only into the peer.
 func (n *Node) custodyFIFOLocked() []*carried {
-	held := make([]*carried, 0, len(n.buffer))
-	for _, c := range n.buffer {
-		held = append(held, c)
+	live := n.fifo[:0]
+	for _, c := range n.fifo {
+		if n.buffer[c.id] == c {
+			live = append(live, c)
+		}
 	}
-	sort.Slice(held, func(i, j int) bool { return held[i].seq < held[j].seq })
-	return held
+	clear(n.fifo[len(live):]) // release the dropped copies to the GC
+	n.fifo = live
+	return live
 }
 
 // eligibleLocked reports whether peer may take custody of c: the final

@@ -20,12 +20,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // KeySize is the symmetric key size in bytes (AES-256).
 const KeySize = 32
 
-const gcmNonceSize = 12
+const (
+	gcmNonceSize = 12
+	gcmTagSize   = 16
+)
 
 // Cipher seals and opens one onion layer. Implementations must be
 // authenticated: Open fails on any tampering.
@@ -40,10 +44,14 @@ type Cipher interface {
 }
 
 // SymmetricCipher is an AES-256-GCM layer cipher keyed by a shared
-// group key.
+// group key. The AES key schedule and GCM tables are built on the first
+// Seal or Open: a network provisions a key for every node and group up
+// front, and only pays for the schedule of a key once it is used.
 type SymmetricCipher struct {
-	aead cipher.AEAD
+	key  [KeySize]byte
 	rand io.Reader
+	once sync.Once
+	gcm  cipher.AEAD
 }
 
 var _ Cipher = (*SymmetricCipher)(nil)
@@ -57,33 +65,43 @@ func newSymmetricCipher(key []byte, rnd io.Reader) (*SymmetricCipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("onion: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("onion: new cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("onion: new GCM: %w", err)
-	}
-	return &SymmetricCipher{aead: aead, rand: rnd}, nil
+	c := &SymmetricCipher{rand: rnd}
+	copy(c.key[:], key)
+	return c, nil
+}
+
+// aead returns the cipher's GCM instance, building it on first use.
+// The key length was checked at construction, and AES-GCM accepts any
+// AES block, so neither constructor can fail here.
+func (c *SymmetricCipher) aead() cipher.AEAD {
+	c.once.Do(func() {
+		block, err := aes.NewCipher(c.key[:])
+		if err != nil {
+			panic(fmt.Sprintf("onion: new cipher: %v", err))
+		}
+		if c.gcm, err = cipher.NewGCM(block); err != nil {
+			panic(fmt.Sprintf("onion: new GCM: %v", err))
+		}
+	})
+	return c.gcm
 }
 
 // Seal implements Cipher.
 func (c *SymmetricCipher) Seal(plaintext []byte) ([]byte, error) {
-	nonce := make([]byte, gcmNonceSize, gcmNonceSize+len(plaintext)+c.aead.Overhead())
+	nonce := make([]byte, gcmNonceSize, gcmNonceSize+len(plaintext)+gcmTagSize)
 	if _, err := io.ReadFull(c.rand, nonce); err != nil {
 		return nil, fmt.Errorf("onion: nonce: %w", err)
 	}
-	return c.aead.Seal(nonce, nonce, plaintext, nil), nil
+	return c.aead().Seal(nonce, nonce, plaintext, nil), nil
 }
 
 // Open implements Cipher.
 func (c *SymmetricCipher) Open(ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) < gcmNonceSize+c.aead.Overhead() {
+	if len(ciphertext) < gcmNonceSize+gcmTagSize {
 		return nil, errors.New("onion: ciphertext too short")
 	}
 	nonce, sealed := ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:]
-	pt, err := c.aead.Open(nil, nonce, sealed, nil)
+	pt, err := c.aead().Open(nil, nonce, sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("onion: open layer: %w", err)
 	}
@@ -91,7 +109,7 @@ func (c *SymmetricCipher) Open(ciphertext []byte) ([]byte, error) {
 }
 
 // Overhead implements Cipher.
-func (c *SymmetricCipher) Overhead() int { return gcmNonceSize + c.aead.Overhead() }
+func (c *SymmetricCipher) Overhead() int { return gcmNonceSize + gcmTagSize }
 
 // GenerateKey returns a fresh random group key.
 func GenerateKey() ([]byte, error) {

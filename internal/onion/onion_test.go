@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,52 @@ func TestNewSymmetricCipherBadKey(t *testing.T) {
 	if _, err := NewSymmetricCipher([]byte("short")); err == nil {
 		t.Fatal("accepted short key")
 	}
+}
+
+// TestSymmetricKeyCopiedAtConstruction: the key schedule is built on
+// first use, so the cipher must keep its own copy of the key.
+func TestSymmetricKeyCopiedAtConstruction(t *testing.T) {
+	key := mustKey(t)
+	ref, err := NewSymmetricCipher(append([]byte(nil), key...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewSymmetricCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range key {
+		key[i] ^= 0xff
+	}
+	ct, err := c.Seal([]byte("keyed before the edit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Open(ct); err != nil {
+		t.Fatalf("cipher sealed with the caller's edited key: %v", err)
+	}
+}
+
+// TestSymmetricConcurrentFirstUse: goroutines racing to the first Seal
+// and Open of a fresh cipher all succeed.
+func TestSymmetricConcurrentFirstUse(t *testing.T) {
+	c := mustSym(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ct, err := c.Seal([]byte("first use"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if pt, err := c.Open(ct); err != nil || string(pt) != "first use" {
+				t.Errorf("open: %q, %v", pt, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestOpenTooShort(t *testing.T) {
