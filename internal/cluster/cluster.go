@@ -164,22 +164,7 @@ func (c *Cluster) TotalStats() node.Stats {
 		if d == nil {
 			continue
 		}
-		s := d.Node().Stats()
-		total.Sent += s.Sent
-		total.Forwarded += s.Forwarded
-		total.Carried += s.Carried
-		total.Delivered += s.Delivered
-		total.Rejected += s.Rejected
-		total.Refused += s.Refused
-		total.Expired += s.Expired
-		total.Purged += s.Purged
-		total.BackpressureDropped += s.BackpressureDropped
-		total.Truncated += s.Truncated
-		total.Corrupted += s.Corrupted
-		total.Retried += s.Retried
-		total.Duplicates += s.Duplicates
-		total.Crashes += s.Crashes
-		total.CrashDropped += s.CrashDropped
+		total.Add(d.Node().Stats())
 	}
 	return total
 }

@@ -78,14 +78,6 @@ type Daemon struct {
 	jitter   *rng.Stream
 }
 
-// ContactReport summarizes one live contact from the initiator's view.
-type ContactReport struct {
-	Offered    int // offers sent (both directions)
-	Transfers  int // offers the receiving side accepted
-	Deliveries int // accepted offers that were final deliveries
-	Rejected   int // offers the receiving side turned down
-}
-
 // StartDaemon joins the directory at cfg.DirAddr and starts serving.
 func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Timeout <= 0 {
@@ -565,7 +557,9 @@ func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error)
 // Network.Meet's order: the initiator offers first, then the peer.
 // Custody is only released on a read accept-verdict, so a connection
 // torn anywhere in the exchange leaves every unacknowledged onion with
-// its current custodian — the next contact re-offers it.
+// its current custodian — the next contact re-offers it. The report
+// covers both directions as the initiator saw them; its Dropped counts
+// only the initiator's own backpressure drops.
 //
 // Failures during the contact preamble — the dial, the hello, the
 // hello ack, anything before a custody hand-off could have begun — are
@@ -576,7 +570,7 @@ func (d *Daemon) dialContact(peer contact.NodeID, addr string) (net.Conn, error)
 // final: a retried offer whose verdict was lost could double custody,
 // so the DTN discipline (re-offer at the NEXT contact) applies
 // instead.
-func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (ContactReport, error) {
+func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (node.MeetReport, error) {
 	pol := d.cfg.Retry.filled()
 	br := d.breakerFor(addr)
 	deadline := time.Now().Add(pol.Budget)
@@ -584,7 +578,7 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (Contact
 	for {
 		if wait := br.wait(time.Now()); wait > 0 {
 			if time.Now().Add(wait).After(deadline) {
-				return ContactReport{}, fmt.Errorf("cluster: contact %d->%d: circuit breaker open for %s", d.cfg.ID, peer, addr)
+				return node.MeetReport{}, fmt.Errorf("cluster: contact %d->%d: circuit breaker open for %s", d.cfg.ID, peer, addr)
 			}
 			d.sleepRetry(wait)
 		}
@@ -610,17 +604,28 @@ func (d *Daemon) Contact(peer contact.NodeID, addr string, now float64) (Contact
 	}
 }
 
+// contactSession is one side's state in a live contact.
+type contactSession struct {
+	conn net.Conn
+	peer contact.NodeID
+	// sent holds the verdicts on this side's offers, took the verdicts
+	// this side gave on the peer's offers.
+	sent, took node.MeetReport
+	frames     int
+	// progressed reports whether custody negotiation had begun — an
+	// offer written, or a peer offer received.
+	progressed bool
+}
+
 // contactOnce is one attempt at a contact. progressed reports whether
-// custody negotiation had begun — an offer written, or a peer offer
-// received — before the failure; un-progressed attempts are safe to
-// retry on a fresh connection.
-func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep ContactReport, progressed bool, err error) {
+// custody negotiation had begun before the failure; un-progressed
+// attempts are safe to retry on a fresh connection.
+func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep node.MeetReport, progressed bool, err error) {
 	conn, err := d.dialContact(peer, addr)
 	if err != nil {
 		return rep, false, err
 	}
 	defer conn.Close()
-	frames := 0
 	d.node.Expire(now)
 	hello := helloMsg{Version: protoVersion, From: d.cfg.ID, To: int(peer), Now: now}
 	if err := writeJSON(conn, mHello, hello); err != nil {
@@ -629,85 +634,19 @@ func (d *Daemon) contactOnce(peer contact.NodeID, addr string, now float64) (rep
 	if err := readExpect(conn, mOK, nil); err != nil {
 		return rep, false, fmt.Errorf("cluster: contact %d->%d: %w", d.cfg.ID, peer, err)
 	}
-	frames += 2
-
-	// Outbound half: offer, await verdict, release custody on accept.
-	for _, off := range d.node.OffersTo(peer, d.cfg.Spray) {
-		// From the first offer byte on, a failure is custody-ambiguous:
-		// the peer may or may not have ingested the copy, so no retry.
-		progressed = true
-		if err := writeMsg(conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
-			return rep, progressed, err
-		}
-		var v verdictMsg
-		if err := readExpect(conn, mVerdict, &v); err != nil {
-			return rep, progressed, err
-		}
-		frames += 2
-		rep.Offered++
-		if v.Accepted {
-			d.node.HandoffAccepted(off.MsgID)
-			rep.Transfers++
-			if v.Delivered {
-				rep.Deliveries++
-			}
-		} else {
-			rep.Rejected++
-			if v.BufferFull {
-				d.node.HandoffRefused(off.MsgID)
-			}
-		}
+	s := &contactSession{conn: conn, peer: peer, frames: 2}
+	err = d.offerAll(s, mEndOffers)
+	if err == nil {
+		err = d.takeAll(s, mContactDone)
 	}
-	if err := writeMsg(conn, mEndOffers, nil); err != nil {
-		return rep, progressed, err
+	rep = s.sent
+	rep.Add(s.took)
+	whole := &rep
+	if err != nil {
+		whole = nil // a contact is counted once it completes
 	}
-	frames++
-
-	// Inbound half: receive the peer's offers until it signals done.
-	for {
-		typ, body, err := readMsg(conn)
-		if err != nil {
-			return rep, progressed, err
-		}
-		frames++
-		if typ == mContactDone {
-			break
-		}
-		if typ != mOffer {
-			return rep, progressed, fmt.Errorf("cluster: contact %d->%d: unexpected message type %d", d.cfg.ID, peer, typ)
-		}
-		// A received offer is about to be ingested; a lost verdict from
-		// here on duplicates custody if the attempt were replayed.
-		progressed = true
-		verdict := d.takeOffer(body)
-		rep.Offered++
-		if verdict.Accepted {
-			rep.Transfers++
-			if verdict.Delivered {
-				rep.Deliveries++
-			}
-		} else {
-			rep.Rejected++
-		}
-		if err := writeJSON(conn, mVerdict, verdict); err != nil {
-			return rep, progressed, err
-		}
-		frames++
-	}
-	if c := obs.Active(); c != nil {
-		c.Add(obs.ClusterContacts, 1)
-		c.Observe(obs.HistClusterConnFrames, int64(frames))
-		// Mirror the in-process tier's per-contact node counters (the
-		// active side counts the contact once, like Network.Meet), so
-		// a live scrape sees the same node.* activity series.
-		c.Add(obs.NodeContacts, 1)
-		c.Add(obs.NodeHandoffs, int64(rep.Transfers))
-		c.Add(obs.NodeDeliveries, int64(rep.Deliveries))
-		c.Add(obs.NodeRejected, int64(rep.Rejected))
-		c.Observe(obs.HistContactTransfers, int64(rep.Transfers))
-		c.RecordMax(obs.NodeCustodyHighWater, int64(d.node.BufferLen()))
-	}
-	return rep, progressed, nil
+	d.record(s, whole)
+	return rep, s.progressed, err
 }
 
 // serveContact is the passive side of a contact.
@@ -729,52 +668,86 @@ func (d *Daemon) serveContact(conn net.Conn, helloBody []byte) {
 	if err := writeJSON(conn, mOK, okMsg{}); err != nil {
 		return
 	}
-
-	// Inbound half: the initiator offers first.
-	for {
-		typ, body, err := readMsg(conn)
-		if err != nil {
-			return
-		}
-		if typ == mEndOffers {
-			break
-		}
-		if typ != mOffer {
-			sendErr(conn, fmt.Errorf("unexpected message type %d during offers", typ))
-			return
-		}
-		if err := writeJSON(conn, mVerdict, d.takeOffer(body)); err != nil {
-			return
-		}
+	// The initiator offers first, then this side.
+	s := &contactSession{conn: conn, peer: contact.NodeID(hello.From)}
+	if err := d.takeAll(s, mEndOffers); err == nil {
+		_ = d.offerAll(s, mContactDone)
 	}
-
-	// Outbound half: now this side offers.
-	for _, off := range d.node.OffersTo(contact.NodeID(hello.From), d.cfg.Spray) {
-		if err := writeMsg(conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
-			return
-		}
-		var v verdictMsg
-		if err := readExpect(conn, mVerdict, &v); err != nil {
-			return
-		}
-		if v.Accepted {
-			d.node.HandoffAccepted(off.MsgID)
-		} else if v.BufferFull {
-			d.node.HandoffRefused(off.MsgID)
-		}
-	}
-	_ = writeMsg(conn, mContactDone, nil)
+	d.record(s, nil)
 }
 
-// takeOffer ingests one offered hand-off and produces the verdict.
-func (d *Daemon) takeOffer(body []byte) verdictMsg {
-	hops, frame, err := decodeOffer(body)
-	if err != nil {
-		return verdictMsg{Reason: err.Error()}
+// offerAll is one side's outbound half: offer every eligible onion in
+// custody, settle each verdict, then send end to hand the turn over.
+func (d *Daemon) offerAll(s *contactSession, end byte) error {
+	for _, off := range d.node.OffersTo(s.peer, d.cfg.Spray) {
+		// From the first offer byte on, a failure is custody-ambiguous:
+		// the peer may or may not have ingested the copy, so no retry.
+		s.progressed = true
+		if err := writeMsg(s.conn, mOffer, offerBody(off.Hops, off.Frame)); err != nil {
+			return err
+		}
+		var v verdictMsg
+		if err := readExpect(s.conn, mVerdict, &v); err != nil {
+			return err
+		}
+		s.frames += 2
+		d.node.Settle(off.MsgID, node.Verdict{Accepted: v.Accepted, Delivered: v.Delivered, BufferFull: v.BufferFull}, &s.sent)
 	}
-	delivered, err := d.node.Receive(frame, hops)
-	if err != nil {
-		return verdictMsg{Reason: err.Error(), BufferFull: errors.Is(err, node.ErrBufferFull)}
+	if err := writeMsg(s.conn, end, nil); err != nil {
+		return err
 	}
-	return verdictMsg{Accepted: true, Delivered: delivered}
+	s.frames++
+	return nil
+}
+
+// takeAll is one side's inbound half: answer each of the peer's offers
+// with a verdict until the peer sends end.
+func (d *Daemon) takeAll(s *contactSession, end byte) error {
+	for {
+		typ, body, err := readMsg(s.conn)
+		if err != nil {
+			return err
+		}
+		s.frames++
+		if typ == end {
+			return nil
+		}
+		if typ != mOffer {
+			err := fmt.Errorf("cluster: contact %d-%d: unexpected message type %d during offers", d.cfg.ID, s.peer, typ)
+			sendErr(s.conn, err)
+			return err
+		}
+		// A received offer is about to be ingested; a lost verdict from
+		// here on duplicates custody if the attempt were replayed.
+		s.progressed = true
+		var v verdictMsg
+		hops, frame, err := decodeOffer(body)
+		if err == nil {
+			var nv node.Verdict
+			nv, err = d.node.Receive(frame, hops, &s.took)
+			v = verdictMsg{Accepted: nv.Accepted, Delivered: nv.Delivered, BufferFull: nv.BufferFull}
+		}
+		if err != nil {
+			v.Reason = err.Error()
+		}
+		if err := writeJSON(s.conn, mVerdict, v); err != nil {
+			return err
+		}
+		s.frames++
+	}
+}
+
+// record emits one side's counters for a contact: the hand-offs it
+// settled, and — on the initiator of a completed contact — the contact
+// itself (whole is then the initiator's report of both directions).
+func (d *Daemon) record(s *contactSession, whole *node.MeetReport) {
+	col := obs.Active()
+	if col == nil {
+		return
+	}
+	if whole != nil {
+		col.Add(obs.ClusterContacts, 1)
+		col.Observe(obs.HistClusterConnFrames, int64(s.frames))
+	}
+	node.RecordContact(col, s.sent, whole, d.node.BufferLen())
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/contact"
 	"repro/internal/node"
 )
 
@@ -208,61 +209,69 @@ func TestContactBudgetCapsTrickle(t *testing.T) {
 // TestClusterRefusalChargesReofferBudget: a buffer-full verdict over
 // the wire charges the sender's re-offer budget; once exhausted the
 // copy is dropped (BackpressureDropped) instead of re-offered forever.
+// Node 0 opens every contact; the copies start either with it (its
+// outbound half settles the refusals) or with the passive node 1 (the
+// passive side's outbound half does).
 func TestClusterRefusalChargesReofferBudget(t *testing.T) {
-	c, err := Launch(Config{
-		Nodes: 3, GroupSize: 1, Seed: 35, Spray: true,
-		BufferLimit: 1, ReofferLimit: 2, Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	d0, d1 := c.Daemon(0), c.Daemon(1)
+	for _, holderID := range []int{0, 1} {
+		t.Run(fmt.Sprintf("holder=%d", holderID), func(t *testing.T) {
+			c, err := Launch(Config{
+				Nodes: 3, GroupSize: 1, Seed: 35, Spray: true,
+				BufferLimit: 1, ReofferLimit: 2, Timeout: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			d0, d1 := c.Daemon(0), c.Daemon(1)
+			holder := c.Daemon(contact.NodeID(holderID))
 
-	const msgs = 4
-	for i := 0; i < msgs; i++ {
-		spec := node.SendSpec{
-			Dst: 2, Payload: []byte("pressure"), Relays: 1, Copies: 3,
-			ID: fmt.Sprintf("%032x", 0x100+i),
-		}
-		if _, err := d0.Send(spec, PathStream(35, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Contact 1: node 1 accepts one copy and refuses the rest.
-	rep, err := d0.Contact(1, d1.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Transfers != 1 || rep.Rejected != msgs-1 {
-		t.Fatalf("first contact = %+v, want 1 transfer and %d rejections", rep, msgs-1)
-	}
-	if got := d0.Node().Stats().BackpressureDropped; got != 0 {
-		t.Fatalf("dropped %d copies after one refusal, want 0", got)
-	}
-	// Contact 2: the refusals repeat and the budget of 2 is exhausted.
-	if _, err := d0.Contact(1, d1.Addr(), 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := d0.Node().Stats().BackpressureDropped; got != msgs-1 {
-		t.Fatalf("BackpressureDropped = %d, want %d", got, msgs-1)
-	}
-	// Only the accepted message's spare spray tickets remain in
-	// custody; the hopeless copies are gone.
-	if got := d0.Node().BufferLen(); got != 1 {
-		t.Fatalf("sender buffer = %d onions, want 1 after backpressure drops", got)
-	}
-	// Contact 3: the surviving copy is re-offered (the sender cannot
-	// know the peer's seen log) and rejected as a duplicate — a seen
-	// rejection, not a refusal, so it charges no budget.
-	rep, err = d0.Contact(1, d1.Addr(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Offered != 1 || rep.Rejected != 1 {
-		t.Fatalf("third contact = %+v, want one duplicate re-offer", rep)
-	}
-	if got := d0.Node().Stats().BackpressureDropped; got != msgs-1 {
-		t.Fatalf("seen rejection charged the re-offer budget: dropped = %d", got)
+			const msgs = 4
+			for i := 0; i < msgs; i++ {
+				spec := node.SendSpec{
+					Dst: 2, Payload: []byte("pressure"), Relays: 1, Copies: 3,
+					ID: fmt.Sprintf("%032x", 0x100+i),
+				}
+				if _, err := holder.Send(spec, PathStream(35, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Contact 1: the peer accepts one copy and refuses the rest.
+			rep, err := d0.Contact(1, d1.Addr(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Transfers != 1 || rep.Rejected != msgs-1 || rep.Refused != msgs-1 {
+				t.Fatalf("first contact = %+v, want 1 transfer and %d refusals", rep, msgs-1)
+			}
+			if got := holder.Node().Stats().BackpressureDropped; got != 0 {
+				t.Fatalf("dropped %d copies after one refusal, want 0", got)
+			}
+			// Contact 2: the refusals repeat and the budget of 2 is exhausted.
+			if _, err := d0.Contact(1, d1.Addr(), 2); err != nil {
+				t.Fatal(err)
+			}
+			if got := holder.Node().Stats().BackpressureDropped; got != msgs-1 {
+				t.Fatalf("BackpressureDropped = %d, want %d", got, msgs-1)
+			}
+			// Only the accepted message's spare spray tickets remain in
+			// custody; the hopeless copies are gone.
+			if got := holder.Node().BufferLen(); got != 1 {
+				t.Fatalf("holder buffer = %d onions, want 1 after backpressure drops", got)
+			}
+			// Contact 3: the surviving copy is re-offered (the sender cannot
+			// know the peer's seen log) and rejected as a duplicate — a seen
+			// rejection, not a refusal, so it charges no budget.
+			rep, err = d0.Contact(1, d1.Addr(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Offered != 1 || rep.Rejected != 1 || rep.Refused != 0 {
+				t.Fatalf("third contact = %+v, want one duplicate re-offer", rep)
+			}
+			if got := holder.Node().Stats().BackpressureDropped; got != msgs-1 {
+				t.Fatalf("seen rejection charged the re-offer budget: dropped = %d", got)
+			}
+		})
 	}
 }

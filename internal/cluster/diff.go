@@ -13,10 +13,16 @@ package cluster
 //   - the same partition seed, so group structure agrees.
 //
 // Stats compared are the conserved subset (Sent, Forwarded, Carried,
-// Delivered): counters like Rejected can legitimately differ, because
-// an in-process sender consults the receiver's duplicate log before
-// offering while a socket sender cannot — the duplicate is rejected on
-// the wire instead of skipped silently.
+// Delivered). The differential tests also compare the node.* counters
+// node.contacts, node.handoffs, node.deliveries, node.refusals and
+// node.backpressure_drops: both tiers settle and count hand-offs
+// through internal/node, a hand-off once by its sender and a contact
+// once by its opener. Rejected in the stats and node.rejected and
+// node.wire_bytes in the counters can legitimately differ, because an
+// in-process sender consults the receiver's duplicate log before
+// offering while a socket sender cannot — it re-offers a seen copy,
+// which crosses the wire and is rejected there instead of skipped
+// silently.
 
 import (
 	"fmt"
@@ -163,11 +169,12 @@ func sortDeliveries(ds DeliverySet) {
 // and stats inspection.
 func RunReference(cfg Config, msgs []Message, tr *trace.Trace, from, horizon float64) (*node.Network, error) {
 	nw, err := node.NewNetwork(node.Config{
-		Nodes:       cfg.Nodes,
-		GroupSize:   cfg.GroupSize,
-		Seed:        cfg.Seed,
-		Spray:       cfg.Spray,
-		BufferLimit: cfg.BufferLimit,
+		Nodes:        cfg.Nodes,
+		GroupSize:    cfg.GroupSize,
+		Seed:         cfg.Seed,
+		Spray:        cfg.Spray,
+		BufferLimit:  cfg.BufferLimit,
+		ReofferLimit: cfg.ReofferLimit,
 	})
 	if err != nil {
 		return nil, err

@@ -88,19 +88,28 @@ func TestNoReofferBudgetKeepsCustody(t *testing.T) {
 }
 
 // TestHandoffRefused covers the transport-surface spelling used by the
-// cluster tier: refusal verdicts charge the budget, exhaustion releases
-// custody, unknown IDs are no-ops.
+// cluster tier: refusal verdicts settled through Settle charge the
+// budget, exhaustion releases custody, unknown IDs only tally.
 func TestHandoffRefused(t *testing.T) {
 	nw, ids := sprayNetwork(t, 0)
 	src := nw.Node(0)
 	src.SetReofferLimit(2)
-	if src.HandoffRefused("00000000000000000000000000000000") {
+	refused := Verdict{BufferFull: true}
+	refuse := func(id string) (dropped bool) {
+		var rep MeetReport
+		src.Settle(id, refused, &rep)
+		if rep.Offered != 1 || rep.Rejected != 1 || rep.Refused != 1 {
+			t.Fatalf("refusal tallied as %+v", rep)
+		}
+		return rep.Dropped == 1
+	}
+	if refuse("00000000000000000000000000000000") {
 		t.Fatal("unknown message reported dropped")
 	}
-	if dropped := src.HandoffRefused(ids[0]); dropped {
+	if dropped := refuse(ids[0]); dropped {
 		t.Fatal("dropped on first refusal with budget 2")
 	}
-	if dropped := src.HandoffRefused(ids[0]); !dropped {
+	if dropped := refuse(ids[0]); !dropped {
 		t.Fatal("second refusal did not exhaust the budget")
 	}
 	if src.BufferLen() != 4 {
@@ -112,7 +121,7 @@ func TestHandoffRefused(t *testing.T) {
 	// A negative limit is clamped to "unlimited".
 	src.SetReofferLimit(-1)
 	for i := 0; i < 5; i++ {
-		if src.HandoffRefused(ids[1]) {
+		if refuse(ids[1]) {
 			t.Fatal("unlimited budget dropped a copy")
 		}
 	}

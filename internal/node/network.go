@@ -31,11 +31,6 @@ type Config struct {
 	// or onion AEAD, dropped gracefully), duplicate redelivery
 	// (suppressed by the receiver's seen log), and node churn.
 	Faults fault.Config
-	// CorruptProb is the legacy single-knob spelling of
-	// Faults.Corrupt: each hand-off is corrupted (one flipped byte)
-	// with this probability. It is folded into Faults at construction
-	// and kept for config compatibility.
-	CorruptProb float64
 	// BufferLimit caps each node's custody buffer (0 = unlimited).
 	// A full node refuses new custody — the sender retries with other
 	// peers — but final deliveries are always accepted.
@@ -69,24 +64,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Nodes < 3 {
 		return nil, fmt.Errorf("node: need at least 3 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.CorruptProb < 0 || cfg.CorruptProb > 1 {
-		return nil, fmt.Errorf("node: corrupt probability %v out of [0,1]", cfg.CorruptProb)
-	}
 	if cfg.BufferLimit < 0 {
 		return nil, fmt.Errorf("node: negative buffer limit %d", cfg.BufferLimit)
 	}
 	if cfg.ReofferLimit < 0 {
 		return nil, fmt.Errorf("node: negative re-offer limit %d", cfg.ReofferLimit)
 	}
-	// Fold the legacy corruption knob into the fault config. The draw
-	// sequence (one Bernoulli per hand-off, one IntN on a hit, flip of
-	// one bit) is identical to the pre-fault-layer behavior, so
-	// CorruptProb-seeded runs reproduce their historical schedules.
-	faults := cfg.Faults
-	if cfg.CorruptProb > 0 && faults.Corrupt == 0 {
-		faults.Corrupt = cfg.CorruptProb
-	}
-	if err := faults.Validate(); err != nil {
+	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	root := rng.New(cfg.Seed)
@@ -97,7 +81,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := dir.ProvisionKeys(); err != nil {
 		return nil, err
 	}
-	nw := &Network{cfg: cfg, dir: dir, plan: fault.NewPlan(faults, root.Split("faults"))}
+	nw := &Network{cfg: cfg, dir: dir, plan: fault.NewPlan(cfg.Faults, root.Split("faults"))}
 	nw.nodes = make([]*Node, cfg.Nodes)
 	for i := range nw.nodes {
 		nw.nodes[i] = newNode(contact.NodeID(i), dir, cfg.BufferLimit)
@@ -116,19 +100,6 @@ func (nw *Network) Node(id contact.NodeID) *Node {
 
 // Directory returns the shared onion-group directory.
 func (nw *Network) Directory() *groups.Directory { return nw.dir }
-
-// MeetReport summarizes one contact.
-type MeetReport struct {
-	Transfers  int // onions that changed custody
-	Deliveries int // payloads that reached their destination
-	Rejected   int // hand-offs rejected (tampering, truncation)
-	Refused    int // custody offers refused by a full buffer (subset of Rejected)
-	Dropped    int // copies dropped after exhausting their re-offer budget
-	Truncated  int // hand-offs torn mid-transfer
-	Corrupted  int // hand-offs damaged by byte flips
-	Retried    int // in-contact retransmissions after a tear
-	Duplicates int // redeliveries suppressed by the receiver
-}
 
 // Meet executes a contact between nodes x and y at the given time:
 // expired onions are dropped, then each side hands over every onion
@@ -177,22 +148,9 @@ func (nw *Network) Meet(x, y contact.NodeID, now float64) MeetReport {
 	nw.exchangeLocked(a, b, &rep, col)
 	nw.exchangeLocked(b, a, &rep, col)
 	if col != nil {
-		col.Add(obs.NodeContacts, 1)
-		col.Add(obs.NodeHandoffs, int64(rep.Transfers))
-		col.Add(obs.NodeDeliveries, int64(rep.Deliveries))
-		col.Add(obs.NodeRejected, int64(rep.Rejected))
-		col.Add(obs.NodeRefusals, int64(rep.Refused))
-		col.Add(obs.NodeBackpressureDrops, int64(rep.Dropped))
-		col.Add(obs.NodeTruncated, int64(rep.Truncated))
-		col.Add(obs.NodeRetransmissions, int64(rep.Retried))
-		col.Add(obs.NodeTamperDrops, int64(rep.Corrupted))
-		col.Add(obs.NodeDedupHits, int64(rep.Duplicates))
-		col.Observe(obs.HistContactTransfers, int64(rep.Transfers))
-		occupancy := len(a.buffer)
-		if len(b.buffer) > occupancy {
-			occupancy = len(b.buffer)
-		}
-		col.RecordMax(obs.NodeCustodyHighWater, int64(occupancy))
+		// Meet offers and settles both directions, so its report is
+		// both the hand-offs it settled and the whole contact.
+		RecordContact(col, rep, &rep, max(len(a.buffer), len(b.buffer)))
 	}
 	return rep
 }
@@ -224,130 +182,83 @@ func (n *Node) mergeAcksLocked(peer *Node) {
 	n.ackMark[peer.id] = len(peer.ackLog)
 }
 
-// exchangeLocked hands over every eligible onion from sender to
-// receiver as a marshaled Bundle-layer frame — the receiver re-parses
-// and re-validates everything it is given. Both locks are held.
-// Onions are offered in custody (FIFO) order: under a receiver buffer
-// limit the transfer order decides which custody offers are refused,
-// and both map iteration order and the crypto-random message IDs would
-// make delivery outcomes nondeterministic for a fixed seed.
+// exchangeLocked offers every eligible onion from sender to receiver
+// in custody (FIFO) order and settles each verdict. Both locks are
+// held. A copy the receiver has already seen is skipped before it is
+// framed: in one address space the sender can read the receiver's
+// duplicate log, which a socket sender cannot.
 func (nw *Network) exchangeLocked(sender, receiver *Node, rep *MeetReport, col *obs.Collector) {
 	for _, c := range sender.custodyFIFOLocked() {
-		id := c.id
-		if receiver.seen[id] {
+		if receiver.seen[c.id] {
 			continue
 		}
-		if !sender.eligibleLocked(c, receiver.id, nw.cfg.Spray) {
+		off, ok := sender.offerLocked(c, receiver.id, nw.cfg.Spray)
+		if !ok {
 			continue
 		}
-		frame, err := c.toBundle().Marshal()
-		if err != nil {
-			// A carried onion that cannot be framed is a programming
-			// error; surface it loudly rather than silently dropping.
-			panic(fmt.Sprintf("node: marshal custody of %s: %v", id, err))
-		}
-		incoming, dup := nw.handoffLocked(sender, receiver, frame, rep, col)
-		if incoming == nil {
-			// Transfer failed every attempt: the receiver never saw a
-			// valid bundle; the sender keeps custody and re-offers at a
-			// later contact (the inter-contact gap is the backoff).
-			continue
-		}
-		// The hop counter rides outside the bundle frame (the frame
-		// layout is pinned by the PR 2 fault schedules).
-		incoming.hops = c.hops + 1
-		if dup != nil {
-			dup.hops = c.hops + 1
-		}
-		if err := receiver.acceptLocked(incoming); err != nil {
-			rep.Rejected++
-			if errors.Is(err, ErrBufferFull) {
-				// Backpressure: the refusal charges the copy's re-offer
-				// budget; an exhausted budget releases custody instead of
-				// re-offering to full peers forever. With no budget
-				// configured (the default) the sender just keeps custody,
-				// exactly as before.
-				rep.Refused++
-				if sender.refusedLocked(c) {
-					rep.Dropped++
-				}
-			}
-			continue
-		}
-		if dup != nil {
-			// Duplicate redelivery: the same frame arrives again. The
-			// receiver's seen log must suppress it — a second accept
-			// would double-deliver to the application layer.
-			if err := receiver.acceptLocked(dup); err == nil {
-				panic(fmt.Sprintf("node: duplicate redelivery of %s accepted twice", id))
-			}
-			receiver.stats.Duplicates++
-			rep.Duplicates++
-		}
-		sender.stats.Forwarded++
-		rep.Transfers++
-		if incoming.lastHop {
-			rep.Deliveries++
-		}
-		c.tickets--
-		if c.tickets <= 0 {
-			delete(sender.buffer, id)
-		}
+		sender.settleLocked(c, nw.handoffLocked(sender, receiver, off, rep, col), rep)
 	}
 }
 
-// handoffLocked pushes one frame across the (possibly faulty) wire,
-// retrying in-contact after truncated transfers up to the configured
-// retry budget. It returns the parsed custody record on success (nil
-// if every attempt failed) plus a second parsed record when the fault
-// plan schedules a duplicate redelivery. Both locks are held.
-func (nw *Network) handoffLocked(sender, receiver *Node, frame []byte, rep *MeetReport, col *obs.Collector) (incoming, dup *carried) {
+// handoffLocked pushes one offer across the in-memory wire, which may
+// tear, corrupt or duplicate it as the fault plan says, and returns
+// the receiver's verdict. A torn frame is retransmitted in-contact up
+// to the configured retry budget; each retried attempt counts as a
+// rejection here, and the final verdict is counted when it is settled.
+// Both locks are held.
+func (nw *Network) handoffLocked(sender, receiver *Node, off Offer, rep *MeetReport, col *obs.Collector) Verdict {
 	retries := nw.plan.Config().Retries
 	for attempt := 0; ; attempt++ {
-		h := nw.plan.Handoff(len(frame))
-		wire := frame
+		h := nw.plan.Handoff(len(off.Frame))
+		wire := off.Frame
 		switch {
 		case h.Truncate:
-			wire = fault.Truncate(frame, h.Cut)
+			wire = fault.Truncate(off.Frame, h.Cut)
 		case h.Corrupt:
-			wire = fault.Flip(frame, h.Flip)
+			wire = fault.Flip(off.Frame, h.Flip)
 		}
 		if col != nil {
 			col.Add(obs.NodeWireBytes, int64(len(wire)))
-			col.Observe(obs.HistHandoffFrameBytes, int64(len(frame)))
+			col.Observe(obs.HistHandoffFrameBytes, int64(len(off.Frame)))
 		}
-		incoming, err := receiveFrame(wire)
-		if err == nil {
+		v, err := receiver.takeLocked(wire, off.Hops)
+		switch {
+		case err == nil:
 			if h.Duplicate {
-				// Parse the duplicate independently: the receiver
-				// validates every frame it is handed, even repeats.
-				if dup, err = receiveFrame(wire); err != nil {
-					panic(fmt.Sprintf("node: duplicate of valid frame failed to parse: %v", err))
+				// Duplicate redelivery: the same frame arrives again. The
+				// receiver's seen log must suppress it — a second accept
+				// would double-deliver to the application layer.
+				if dup, _ := receiver.takeLocked(wire, off.Hops); dup.Accepted {
+					panic(fmt.Sprintf("node: duplicate redelivery of %s accepted twice", off.MsgID))
 				}
+				receiver.stats.Duplicates++
+				rep.Duplicates++
 			}
-			return incoming, dup
-		}
-		receiver.stats.Rejected++
-		rep.Rejected++
-		if errors.Is(err, bundle.ErrTruncated) {
+			return v
+		case errors.Is(err, errTransfer):
+			// A valid frame the receiver turned down (seen, full, or
+			// unpeelable): not a wire fault.
+			return v
+		case errors.Is(err, bundle.ErrTruncated):
 			// Torn transfer: the peer is still in contact, so the
 			// sender retransmits immediately (short backoff) until the
 			// in-contact budget is spent.
-			receiver.stats.Truncated++
 			rep.Truncated++
 			if attempt < retries {
+				rep.Rejected++
 				sender.stats.Retried++
 				rep.Retried++
 				continue
 			}
-			return nil, nil
+		default:
+			// Corruption (CRC/tamper class): drop gracefully, no
+			// retransmission — a flipped frame signals a bad link, not an
+			// aborted transfer.
+			rep.Corrupted++
 		}
-		// Corruption (CRC/tamper class): drop gracefully, no
-		// retransmission — a flipped frame signals a bad link, not an
-		// aborted transfer.
-		receiver.stats.Corrupted++
-		rep.Corrupted++
-		return nil, nil
+		// The sender keeps custody and re-offers at a later contact (the
+		// inter-contact gap is the backoff).
+		return v
 	}
 }
 
@@ -355,22 +266,7 @@ func (nw *Network) handoffLocked(sender, receiver *Node, frame []byte, rep *Meet
 func (nw *Network) TotalStats() Stats {
 	var total Stats
 	for _, n := range nw.nodes {
-		s := n.Stats()
-		total.Sent += s.Sent
-		total.Forwarded += s.Forwarded
-		total.Carried += s.Carried
-		total.Delivered += s.Delivered
-		total.Rejected += s.Rejected
-		total.Refused += s.Refused
-		total.Expired += s.Expired
-		total.Purged += s.Purged
-		total.BackpressureDropped += s.BackpressureDropped
-		total.Truncated += s.Truncated
-		total.Corrupted += s.Corrupted
-		total.Retried += s.Retried
-		total.Duplicates += s.Duplicates
-		total.Crashes += s.Crashes
-		total.CrashDropped += s.CrashDropped
+		total.Add(n.Stats())
 	}
 	return total
 }

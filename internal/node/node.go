@@ -50,6 +50,25 @@ type Stats struct {
 	CrashDropped int // custody onions lost to volatile-buffer crashes
 }
 
+// Add sums another node's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Sent += o.Sent
+	s.Forwarded += o.Forwarded
+	s.Carried += o.Carried
+	s.Delivered += o.Delivered
+	s.Rejected += o.Rejected
+	s.Refused += o.Refused
+	s.Expired += o.Expired
+	s.Purged += o.Purged
+	s.BackpressureDropped += o.BackpressureDropped
+	s.Truncated += o.Truncated
+	s.Corrupted += o.Corrupted
+	s.Retried += o.Retried
+	s.Duplicates += o.Duplicates
+	s.Crashes += o.Crashes
+	s.CrashDropped += o.CrashDropped
+}
+
 // carried is one onion in a node's buffer.
 type carried struct {
 	id string
@@ -287,22 +306,6 @@ func (n *Node) SetReofferLimit(limit int) {
 		limit = 0
 	}
 	n.reofferLimit = limit
-}
-
-// refusedLocked charges one buffer-full refusal against a carried copy
-// and reports whether the re-offer budget is now exhausted, in which
-// case custody is released (the copy is dropped). The caller holds
-// n.mu.
-func (n *Node) refusedLocked(c *carried) (dropped bool) {
-	c.refusals++
-	if n.reofferLimit <= 0 || c.refusals < n.reofferLimit {
-		return false
-	}
-	if _, held := n.buffer[c.id]; held {
-		delete(n.buffer, c.id)
-		n.stats.BackpressureDropped++
-	}
-	return true
 }
 
 // acceptLocked ingests an onion handed over by a peer. The caller
